@@ -143,3 +143,37 @@ func TestReadBitFlipRetryAtFTL(t *testing.T) {
 		t.Fatal("expected an ECC-triggered read retry")
 	}
 }
+
+// TestUncorrectableReadLeavesStoredPagesPristine guards the copy-before-flip
+// rule: reads hand out the stored page itself, so an uncorrectable read must
+// corrupt only a private copy. The FTL's retry then returns the original
+// bytes, for a programmed page and for a deduplicated all-zero page alike.
+func TestUncorrectableReadLeavesStoredPagesPristine(t *testing.T) {
+	k, f, _, g := newFaultyFTL(t, 16, 8)
+	pages := map[int64][]byte{1: pageOf(11), 2: make([]byte, PageSize)}
+	for lpn, p := range pages {
+		f.WritePage(lpn, p, nil)
+	}
+	k.Run()
+	for _, lpn := range []int64{1, 2} {
+		g.Always(fault.NANDReadBitFlip).Times(1)
+		retries := f.ReadRetries()
+		var got []byte
+		var rerr error
+		f.ReadPage(lpn, func(d []byte, err error) { got, rerr = d, err })
+		k.Run()
+		if rerr != nil || f.ReadRetries() != retries+1 {
+			t.Fatalf("lpn %d: retry read err=%v, retries %d -> %d", lpn, rerr, retries, f.ReadRetries())
+		}
+		if !bytes.Equal(got, pages[lpn]) {
+			t.Fatalf("lpn %d: retry read returned corrupted data", lpn)
+		}
+		g.Clear(fault.NANDReadBitFlip)
+	}
+	var unmapped []byte
+	f.ReadPage(3, func(d []byte, _ error) { unmapped = d })
+	k.Run()
+	if !bytes.Equal(unmapped, make([]byte, PageSize)) {
+		t.Fatal("shared zero page corrupted")
+	}
+}

@@ -4,6 +4,12 @@
 // management. The FTL exposes logical 4 KB pages; the usable capacity is
 // the raw capacity minus over-provisioning (the PoC exposes 120 GB of the
 // 128 GB raw Z-NAND, §VI).
+//
+// Page data is shared, not copied, below WritePage: WritePage takes one
+// private copy of the caller's page and hands that copy to the NAND array,
+// which keeps it as the stored page. The data ReadPage delivers is therefore
+// read-only — the write buffer's copy, the stored NAND page or a shared zero
+// page — and must not be modified.
 package ftl
 
 import (
@@ -50,11 +56,14 @@ type blockMeta struct {
 }
 
 type dieState struct {
-	free []*blockMeta // free pool, kept min-erase-first on allocation
-	open *blockMeta
-	all  []*blockMeta
-	gc   bool // GC in progress on this die
+	free   []*blockMeta // free pool, kept min-erase-first on allocation
+	open   *blockMeta
+	blocks []*blockMeta // indexed by block number; nil for factory bad blocks
+	gc     bool         // GC in progress on this die
 }
+
+// zeroPage is the data of never-written logical pages. Nothing writes to it.
+var zeroPage = make([]byte, PageSize)
 
 const unmapped = int64(-1)
 
@@ -122,7 +131,7 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 	usable := 0
 	for c := 0; c < ncfg.Channels; c++ {
 		for d := 0; d < ncfg.DiesPerChan; d++ {
-			ds := &dieState{}
+			ds := &dieState{blocks: make([]*blockMeta, ncfg.BlocksPerDie)}
 			for b := 0; b < ncfg.BlocksPerDie; b++ {
 				addr := nand.PageAddr{Channel: c, Die: d, Block: b}
 				if arr.IsBad(addr) {
@@ -133,7 +142,7 @@ func New(k *sim.Kernel, arr *nand.Array, cfg Config) *FTL {
 					bm.lpns[i] = unmapped
 				}
 				ds.free = append(ds.free, bm)
-				ds.all = append(ds.all, bm)
+				ds.blocks[b] = bm
 				usable++
 			}
 			f.dies = append(f.dies, ds)
@@ -179,7 +188,8 @@ func (f *FTL) checkLPN(lpn int64) error {
 }
 
 // ReadPage fetches logical page lpn. Never-written pages complete
-// immediately with a zero page (block-device semantics).
+// immediately with a zero page (block-device semantics). The data done
+// receives is read-only (see the package comment).
 func (f *FTL) ReadPage(lpn int64, done func(data []byte, err error)) {
 	if err := f.checkLPN(lpn); err != nil {
 		done(nil, err)
@@ -188,14 +198,12 @@ func (f *FTL) ReadPage(lpn int64, done func(data []byte, err error)) {
 	f.core.Acquire(f.cfg.CoreOverhead, func(sim.Time) {
 		if buf, ok := f.writeBuf[lpn]; ok {
 			// Write-buffer hit: the freshest data has not reached NAND yet.
-			out := make([]byte, PageSize)
-			copy(out, buf)
-			done(out, nil)
+			done(buf, nil)
 			return
 		}
 		addr, ok := f.mapping[lpn]
 		if !ok {
-			done(make([]byte, PageSize), nil)
+			done(zeroPage, nil)
 			return
 		}
 		f.readOps++
@@ -213,7 +221,8 @@ func (f *FTL) ReadPage(lpn int64, done func(data []byte, err error)) {
 }
 
 // WritePage stores a full logical page. The write is acknowledged once the
-// data is programmed into NAND.
+// data is programmed into NAND. WritePage copies data, so the caller may
+// reuse it as soon as WritePage returns.
 func (f *FTL) WritePage(lpn int64, data []byte, done func(err error)) {
 	if err := f.checkLPN(lpn); err != nil {
 		if done != nil {
@@ -260,15 +269,9 @@ func (f *FTL) Trim(lpn int64) {
 }
 
 func (f *FTL) invalidate(addr nand.PageAddr) {
-	ds := f.dieFor(addr)
-	for _, bm := range ds.all {
-		if bm.addr.Block == addr.Block {
-			if bm.lpns[addr.Page] != unmapped {
-				bm.lpns[addr.Page] = unmapped
-				bm.valid--
-			}
-			return
-		}
+	if bm := f.dieFor(addr).blocks[addr.Block]; bm != nil && bm.lpns[addr.Page] != unmapped {
+		bm.lpns[addr.Page] = unmapped
+		bm.valid--
 	}
 }
 
@@ -445,8 +448,8 @@ func (f *FTL) maybeGC(ds *dieState) {
 	}
 	// Victim: closed block with fewest valid pages (greedy), not open/pool.
 	var victim *blockMeta
-	for _, bm := range ds.all {
-		if bm.inPool || bm.open || bm.erasing {
+	for _, bm := range ds.blocks {
+		if bm == nil || bm.inPool || bm.open || bm.erasing {
 			continue
 		}
 		if bm.nextPage < f.arr.Config().PagesPerBlock {
@@ -579,23 +582,19 @@ func (f *FTL) FreeBlocks() int {
 // after workloads.
 func (f *FTL) CheckInvariants() error {
 	for lpn, addr := range f.mapping {
-		ds := f.dieFor(addr)
-		found := false
-		for _, bm := range ds.all {
-			if bm.addr.Block != addr.Block {
-				continue
-			}
-			found = true
-			if bm.lpns[addr.Page] != lpn {
-				return fmt.Errorf("ftl: lpn %d maps to %v but reverse entry is %d", lpn, addr, bm.lpns[addr.Page])
-			}
-		}
-		if !found {
+		bm := f.dieFor(addr).blocks[addr.Block]
+		if bm == nil {
 			return fmt.Errorf("ftl: lpn %d maps to unknown block %v", lpn, addr)
+		}
+		if bm.lpns[addr.Page] != lpn {
+			return fmt.Errorf("ftl: lpn %d maps to %v but reverse entry is %d", lpn, addr, bm.lpns[addr.Page])
 		}
 	}
 	for _, ds := range f.dies {
-		for _, bm := range ds.all {
+		for _, bm := range ds.blocks {
+			if bm == nil {
+				continue
+			}
 			n := 0
 			for _, l := range bm.lpns {
 				if l != unmapped {

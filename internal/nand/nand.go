@@ -5,9 +5,15 @@
 // resources so channel/die contention emerges naturally. The model stores
 // real bytes, enforces NAND programming rules (no overwrite without erase),
 // injects grown bad blocks, and tracks wear.
+//
+// Page buffers are handed over, not copied: Program takes ownership of the
+// slice it is given (the caller must not modify it afterwards), and the
+// slice Read delivers is the stored page itself or a shared page, so it is
+// read-only. Only a read that fails ECC returns a private, corrupted copy.
 package nand
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -211,9 +217,18 @@ func (a *Array) Erases(addr PageAddr) uint64 {
 	return b.erases
 }
 
+// zeroPage and erasedPage are the shared contents of deduplicated all-zero
+// pages and of never-programmed pages. Nothing writes to either.
+var (
+	zeroPage   = make([]byte, PageSize)
+	erasedPage = bytes.Repeat([]byte{0xFF}, PageSize)
+)
+
 // Read fetches one page. done receives the page contents (never-programmed
 // pages read as all-0xFF, as erased NAND does) after tR plus the channel
-// transfer.
+// transfer. The data is read-only: it may be the stored page or a page
+// shared by many addresses. An uncorrectable read delivers a private copy
+// with the raw bit errors applied, alongside its error.
 func (a *Array) Read(addr PageAddr, done func(data []byte, err error)) {
 	d, b, err := a.check(addr)
 	if err != nil {
@@ -227,16 +242,14 @@ func (a *Array) Read(addr PageAddr, done func(data []byte, err error)) {
 	d.busy.Acquire(sense, func(senseStart sim.Time) {
 		a.k.ScheduleAt(senseStart.Add(sense), func() {
 			a.channels[addr.Channel].Acquire(a.cfg.TransferPerPage, func(start sim.Time) {
-				buf := make([]byte, PageSize)
+				var buf []byte
 				switch {
 				case b.data[addr.Page] != nil:
-					copy(buf, b.data[addr.Page])
+					buf = b.data[addr.Page]
 				case b.programmed[addr.Page] && b.zero[addr.Page]:
-					// all-zero page, stored deduplicated
+					buf = zeroPage // all-zero page, stored deduplicated
 				default:
-					for i := range buf {
-						buf[i] = 0xFF
-					}
+					buf = erasedPage
 				}
 				// ECC: raw bit errors are corrected up to the code's budget;
 				// beyond it the read fails and the (corrupted) data must not
@@ -256,6 +269,9 @@ func (a *Array) Read(addr PageAddr, done func(data []byte, err error)) {
 						a.correctedBits += uint64(errs)
 					} else {
 						a.uncorrectable++
+						// Flip bits in a copy: buf is shared with the
+						// stored page.
+						buf = bytes.Clone(buf)
 						for i := 0; i < errs; i++ {
 							bit := a.errRng.Intn(PageSize * 8)
 							buf[bit/8] ^= 1 << uint(bit%8)
@@ -272,7 +288,9 @@ func (a *Array) Read(addr PageAddr, done func(data []byte, err error)) {
 
 // Program writes one page. NAND constraints are enforced: the block must not
 // be bad, the page must be erased, and pages within a block must be written
-// in order. done receives any error after transfer plus tPROG.
+// in order. done receives any error after transfer plus tPROG. Program takes
+// ownership of data: the array stores the slice itself, so the caller must
+// not modify it afterwards.
 func (a *Array) Program(addr PageAddr, data []byte, done func(err error)) {
 	d, b, err := a.check(addr)
 	if err != nil {
@@ -287,10 +305,12 @@ func (a *Array) Program(addr PageAddr, data []byte, done func(err error)) {
 		}
 		return
 	}
-	var owned []byte
-	if !allZero(data) {
-		owned = make([]byte, PageSize)
-		copy(owned, data)
+	// All-zero pages are stored deduplicated: a simulator memory
+	// optimization that lets tests prefill full-size devices cheaply
+	// without changing observable behaviour.
+	owned := data
+	if bytes.Equal(data, zeroPage) {
+		owned = nil
 	}
 	// Channel transfer first (controller pushes data to the die's page
 	// register), then the die is busy for tPROG. Legality is checked when
@@ -396,7 +416,7 @@ func (a *Array) sampleBitErrors() int {
 		return 0
 	}
 	// Knuth inversion; fine for lambda up to a few hundred.
-	l := mathExp(-lambda)
+	l := math.Exp(-lambda)
 	k := 0
 	p := 1.0
 	for {
@@ -410,9 +430,6 @@ func (a *Array) sampleBitErrors() int {
 		}
 	}
 }
-
-// mathExp avoids importing math for one call site... it simply wraps it.
-func mathExp(x float64) float64 { return math.Exp(x) }
 
 // MaxWear returns the highest erase count across all blocks.
 func (a *Array) MaxWear() uint64 {
@@ -440,16 +457,4 @@ func (a *Array) TotalErases() uint64 {
 		}
 	}
 	return s
-}
-
-// allZero reports whether every byte of p is zero. All-zero pages are
-// stored deduplicated: a simulator memory optimization that lets tests
-// prefill full-size devices cheaply without changing observable behaviour.
-func allZero(p []byte) bool {
-	for _, b := range p {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
 }

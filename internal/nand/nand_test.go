@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"nvdimmc/internal/fault"
 	"nvdimmc/internal/sim"
 )
 
@@ -304,5 +305,51 @@ func TestECCUncorrectableSurfaces(t *testing.T) {
 	}
 	if _, unc := a.ECCStats(); unc == 0 {
 		t.Fatal("uncorrectable not counted")
+	}
+}
+
+// TestUncorrectableReadCopiesBeforeFlip checks that an uncorrectable read
+// flips bits in a private copy, never in the stored page or in the shared
+// all-zero and erased pages that reads hand out.
+func TestUncorrectableReadCopiesBeforeFlip(t *testing.T) {
+	k := sim.NewKernel()
+	cfg := DefaultConfig()
+	cfg.InitialBadBlockPPM = 0
+	cfg.RawBitErrorRate = 0
+	cfg.BlocksPerDie = 4
+	cfg.PagesPerBlock = 4
+	a := New(k, cfg)
+	g := fault.NewRegistry(k, 1)
+	a.SetFaults(g)
+	data := bytes.Repeat([]byte{0x5A}, PageSize)
+	want := bytes.Clone(data)
+	a.Program(PageAddr{Page: 0}, data, nil)
+	a.Program(PageAddr{Page: 1}, make([]byte, PageSize), nil)
+	k.Run()
+	cases := []struct {
+		addr PageAddr
+		want []byte
+	}{
+		{PageAddr{Page: 0}, want},                                 // programmed
+		{PageAddr{Page: 1}, make([]byte, PageSize)},               // deduplicated zero
+		{PageAddr{Page: 2}, bytes.Repeat([]byte{0xFF}, PageSize)}, // erased
+	}
+	for _, c := range cases {
+		g.Always(fault.NANDReadBitFlip).Times(1)
+		var bad, good []byte
+		var badErr, goodErr error
+		a.Read(c.addr, func(d []byte, err error) { bad, badErr = d, err })
+		k.Run()
+		a.Read(c.addr, func(d []byte, err error) { good, goodErr = d, err })
+		k.Run()
+		if badErr == nil || bytes.Equal(bad, c.want) {
+			t.Fatalf("%v: injected uncorrectable read returned clean data (err %v)", c.addr, badErr)
+		}
+		if goodErr != nil || !bytes.Equal(good, c.want) {
+			t.Fatalf("%v: read after an uncorrectable one returned corrupted data (err %v)", c.addr, goodErr)
+		}
+	}
+	if !bytes.Equal(zeroPage, make([]byte, PageSize)) || !bytes.Equal(erasedPage, bytes.Repeat([]byte{0xFF}, PageSize)) {
+		t.Fatal("shared zero or erased page corrupted")
 	}
 }

@@ -280,9 +280,9 @@ type Driver struct {
 	// lock serializes the driver's mapping-manipulation critical sections.
 	lock *sim.Resource
 
-	// metaShadow is the driver's authoritative copy of the metadata area.
-	metaShadow  []byte
-	metaEntries []cp.MetaEntry
+	// meta is the driver's authoritative copy of the metadata area; every
+	// mapping change updates it and mirrors the changed bytes to DRAM.
+	meta *cp.MetaTable
 
 	capacityPages int64
 
@@ -327,20 +327,20 @@ func New(k *sim.Kernel, mc *imc.Controller, cache *cpucache.Cache, capacityPages
 		errs:          metrics.NewCounters(),
 		lock:          sim.NewResource(k, "nvdc-lock"),
 		cpSlots:       make([]cpSlot, cfg.CPQueueDepth),
-		metaShadow:    make([]byte, cfg.Layout.MetaSize),
-		metaEntries:   make([]cp.MetaEntry, cfg.Layout.NumSlots),
 		capacityPages: capacityPages,
 	}
 	for i := range d.slots {
 		d.slots[i].lpn = noLPN
 		d.free = append(d.free, i)
 	}
-	if err := cp.EncodeMeta(d.metaShadow, d.metaEntries); err != nil {
+	meta, err := cp.NewMetaTable(make([]byte, cfg.Layout.MetaSize), cfg.Layout.NumSlots)
+	if err != nil {
 		return nil, err
 	}
+	d.meta = meta
 	// Initialize the metadata area in DRAM so a power failure before any
 	// mapping change finds a valid (empty) table.
-	mc.Write(cfg.Layout.MetaOffset, d.metaShadow, nil)
+	mc.Write(cfg.Layout.MetaOffset, meta.Bytes(), nil)
 	return d, nil
 }
 
@@ -452,8 +452,7 @@ func (d *Driver) degrade(to Mode, reason string) {
 func (d *Driver) quarantine(slot int) {
 	d.quarantined = append(d.quarantined, slot)
 	d.errs.Inc(CtrSlotQuarantined)
-	d.metaEntries[slot] = cp.MetaEntry{}
-	d.writeMetaEntry(slot)
+	d.writeMeta(slot, cp.MetaEntry{})
 }
 
 // failInflight rejects every waiter coalesced on lpn's miss.
@@ -554,8 +553,9 @@ func (d *Driver) markDirty(slot int) {
 	d.slots[slot].gen++
 	if !d.slots[slot].dirty {
 		d.slots[slot].dirty = true
-		d.metaEntries[slot].Dirty = true
-		d.writeMetaEntry(slot)
+		e := d.meta.Entry(slot)
+		e.Dirty = true
+		d.writeMeta(slot, e)
 	}
 }
 
@@ -621,8 +621,9 @@ func (d *Driver) claimSlot() (slot int, victimLPN int64, needWB bool) {
 	// opcode gives no point between writeback and fill to flip the entry —
 	// invalidate up front as before.
 	if !needWB || d.cfg.CombineWBCF {
-		d.metaEntries[slot].Valid = false
-		d.writeMetaEntry(slot)
+		e := d.meta.Entry(slot)
+		e.Valid = false
+		d.writeMeta(slot, e)
 	}
 	return slot, victimLPN, needWB
 }
@@ -717,8 +718,7 @@ func (d *Driver) transfer(lpn int64, slot int, victimLPN int64, needWB bool) {
 					// CPQueueDepth of 1 a re-fault on the victim queues
 					// behind this transition, so no second Valid entry for
 					// the same NAND page can appear meanwhile.)
-					d.metaEntries[slot] = cp.MetaEntry{}
-					d.writeMetaEntry(slot)
+					d.writeMeta(slot, cp.MetaEntry{})
 					cachefill()
 					return
 				}
@@ -759,8 +759,7 @@ func (d *Driver) writebackFailed(lpn int64, slot int, victimLPN int64, err error
 			d.mapping[victimLPN] = slot
 			d.slots[slot] = slotState{lpn: victimLPN, dirty: true}
 			d.rep.Insert(slot)
-			d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(victimLPN), Valid: true, Dirty: true}
-			d.writeMetaEntry(slot)
+			d.writeMeta(slot, cp.MetaEntry{NANDPage: uint32(victimLPN), Valid: true, Dirty: true})
 			d.degrade(ModeReadOnly, fmt.Sprintf("writeback of victim lpn %d failed hard", victimLPN))
 			d.failInflight(lpn, fmt.Errorf("nvdc: writeback of victim lpn %d: %w", victimLPN, err))
 		})
@@ -775,8 +774,7 @@ func (d *Driver) install(lpn int64, slot int) {
 			d.mapping[lpn] = slot
 			d.slots[slot] = slotState{lpn: lpn, dirty: false}
 			d.rep.Insert(slot)
-			d.metaEntries[slot] = cp.MetaEntry{NANDPage: uint32(lpn), Valid: true}
-			d.writeMetaEntry(slot)
+			d.writeMeta(slot, cp.MetaEntry{NANDPage: uint32(lpn), Valid: true})
 			waiters := d.inflight[lpn]
 			delete(d.inflight, lpn)
 			for _, w := range waiters {
@@ -786,22 +784,16 @@ func (d *Driver) install(lpn int64, slot int) {
 	})
 }
 
-// writeMetaEntry updates slot's entry and the header in the DRAM metadata
-// area (two small bus writes; the CPU cost is folded into MapCost).
-func (d *Driver) writeMetaEntry(slot int) {
-	if err := cp.EncodeMetaEntry(d.metaShadow, slot, d.metaEntries[slot]); err != nil {
-		panic(fmt.Sprintf("nvdc: meta entry: %v", err))
-	}
-	if err := cp.EncodeMetaHeader(d.metaShadow, d.metaEntries); err != nil {
-		panic(fmt.Sprintf("nvdc: meta header: %v", err))
-	}
-	off := int64(16 + slot*4)
-	var entry [4]byte
-	copy(entry[:], d.metaShadow[off:off+4])
-	var header [16]byte
-	copy(header[:], d.metaShadow[:16])
-	d.mc.Write(d.cfg.Layout.MetaOffset+off, entry[:], nil)
-	d.mc.Write(d.cfg.Layout.MetaOffset, header[:], nil)
+// writeMeta sets slot's entry and writes it, then the header, to the DRAM
+// metadata area (two small bus writes; the CPU cost is folded into MapCost).
+func (d *Driver) writeMeta(slot int, e cp.MetaEntry) {
+	d.meta.Set(slot, e)
+	b := d.meta.Bytes()
+	off := cp.MetaEntryOffset(slot)
+	entry, header := b[off:cp.MetaEntryOffset(slot+1)], b[:cp.MetaEntryOffset(0)]
+	// imc.Write copies its data, so slices of the table are safe to pass.
+	d.mc.Write(d.cfg.Layout.MetaOffset+off, entry, nil)
+	d.mc.Write(d.cfg.Layout.MetaOffset, header, nil)
 }
 
 // Trim drops lpn from the cache without writeback (block discard: the
@@ -816,8 +808,7 @@ func (d *Driver) Trim(lpn int64) {
 	d.rep.Remove(slot)
 	d.slots[slot] = slotState{lpn: noLPN}
 	d.free = append(d.free, slot)
-	d.metaEntries[slot] = cp.MetaEntry{}
-	d.writeMetaEntry(slot)
+	d.writeMeta(slot, cp.MetaEntry{})
 	if d.cache != nil {
 		d.cache.Invalidate(d.cfg.Layout.SlotAddr(slot), PageSize)
 	}
@@ -976,8 +967,9 @@ func (d *Driver) FlushLPN(lpn int64, done func(error)) {
 				// guard); a racing store's bytes may postdate the clflush.
 				if s, still := d.mapping[lpn]; still && s == slot && d.slots[slot].gen == gen {
 					d.slots[slot].dirty = false
-					d.metaEntries[slot].Dirty = false
-					d.writeMetaEntry(slot)
+					e := d.meta.Entry(slot)
+					e.Dirty = false
+					d.writeMeta(slot, e)
 				}
 				done(nil)
 			})
@@ -1021,15 +1013,16 @@ func (d *Driver) RecoverFromMetadata(meta []byte) (int, error) {
 			d.slots[i] = slotState{lpn: lpn, dirty: false}
 			d.mapping[lpn] = i
 			d.rep.Insert(i)
-			d.metaEntries[i] = cp.MetaEntry{NANDPage: e.NANDPage, Valid: true}
 			n++
 		} else {
 			d.slots[i] = slotState{lpn: noLPN}
 			d.free = append(d.free, i)
-			d.metaEntries[i] = cp.MetaEntry{}
 		}
 	}
-	copy(d.metaShadow, meta)
+	// Adopt the area byte for byte, dirty bits included: the copy in DRAM
+	// is exactly these bytes, so later single-entry updates keep the two
+	// identical and the header valid for the next power failure.
+	copy(d.meta.Bytes(), meta)
 	return n, nil
 }
 

@@ -19,6 +19,14 @@ import (
 
 func newDriver(t *testing.T) (*sim.Kernel, *Driver, hostmem.Layout) {
 	t.Helper()
+	k, d, layout, _ := newDriverOn(t)
+	return k, d, layout
+}
+
+// newDriverOn is newDriver that also returns the DRAM device behind the
+// driver, for tests that read the metadata area as the firmware would.
+func newDriverOn(t *testing.T) (*sim.Kernel, *Driver, hostmem.Layout, *dram.Device) {
+	t.Helper()
 	k := sim.NewKernel()
 	dcfg := dram.DefaultConfig(ddr4.DDR4_1600)
 	dcfg.Rows = 64
@@ -39,7 +47,7 @@ func newDriver(t *testing.T) (*sim.Kernel, *Driver, hostmem.Layout) {
 		t.Fatal(err)
 	}
 	k.Run() // drain the metadata-init write
-	return k, d, layout
+	return k, d, layout, dev
 }
 
 func TestNewValidatesLayout(t *testing.T) {
@@ -68,7 +76,7 @@ func TestMetadataShadowMatchesState(t *testing.T) {
 	}
 	k.RunWhile(func() bool { return done < 5 })
 	k.Run() // drain metadata writes
-	entries, err := cp.DecodeMeta(d.metaShadow)
+	entries, err := cp.DecodeMeta(d.meta.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +113,7 @@ func TestTrimReleasesSlot(t *testing.T) {
 		t.Fatal("slot not returned to the free pool")
 	}
 	k.Run()
-	entries, err := cp.DecodeMeta(d.metaShadow)
+	entries, err := cp.DecodeMeta(d.meta.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +124,51 @@ func TestTrimReleasesSlot(t *testing.T) {
 	}
 	// Trim of a non-resident page is a no-op.
 	d.Trim(1234)
+}
+
+// TestRecoveryKeepsMetadataVerifiable recovers a table that still holds
+// dirty entries (the state the firmware leaves after a power-fail flush) and
+// then changes one mapping: the driver's copy and the DRAM metadata area must
+// both still decode, or a second power failure would flush nothing.
+func TestRecoveryKeepsMetadataVerifiable(t *testing.T) {
+	k, d, layout, dev := newDriverOn(t)
+	done := 0
+	for p := int64(0); p < 4; p++ {
+		d.Fault(p, true, func(int) { done++ })
+	}
+	k.RunWhile(func() bool { return done < 4 })
+	k.Run()
+	area := make([]byte, layout.MetaSize)
+	if err := dev.CopyOut(layout.MetaOffset, area); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := cp.DecodeMeta(area)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := 0
+	for _, e := range entries {
+		if e.Valid && e.Dirty {
+			dirty++
+		}
+	}
+	if dirty != 4 {
+		t.Fatalf("metadata holds %d dirty entries before recovery, want 4", dirty)
+	}
+	if n, err := d.RecoverFromMetadata(area); err != nil || n != 4 {
+		t.Fatalf("recovered %d mappings (err %v), want 4", n, err)
+	}
+	d.Trim(2)
+	k.Run()
+	if _, err := cp.DecodeMeta(d.meta.Bytes()); err != nil {
+		t.Fatalf("driver metadata after recovery and trim: %v", err)
+	}
+	if err := dev.CopyOut(layout.MetaOffset, area); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.DecodeMeta(area); err != nil {
+		t.Fatalf("DRAM metadata area after recovery and trim: %v", err)
+	}
 }
 
 func TestRecoveryRejectsWrongSlotCount(t *testing.T) {
@@ -137,8 +190,8 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	}
 	k.RunWhile(func() bool { return done < 4 })
 	k.Run()
-	snapshot := make([]byte, len(d.metaShadow))
-	copy(snapshot, d.metaShadow)
+	snapshot := make([]byte, len(d.meta.Bytes()))
+	copy(snapshot, d.meta.Bytes())
 	n, err := d.RecoverFromMetadata(snapshot)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +338,7 @@ func TestAccessorsAndDirtyMark(t *testing.T) {
 	if !d.slots[slot].dirty {
 		t.Fatal("write hit did not mark dirty")
 	}
-	entries, err := cp.DecodeMeta(d.metaShadow)
+	entries, err := cp.DecodeMeta(d.meta.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ type cmdFSM struct {
 	state     fsmState
 	ready     bool // firmware prep done; may act in a window
 	cur       cp.Command
-	buf       []byte
+	buf       []byte // cachefill page from ftl.ReadPage: read-only, DMA copies it out
 	lastPhase bool
 	// For OpCombined: whether the writeback half is done.
 	wbDone bool
@@ -350,15 +350,12 @@ func (c *Controller) dispatch(f *cmdFSM, cmd cp.Command) {
 		f.wbDone = false
 		// Start the NAND read for the cachefill half immediately; the
 		// writeback half's DRAM read is set up in parallel.
-		nandReady := false
 		c.ftl.ReadPage(int64(cmd.NANDPage), func(data []byte, err error) {
 			if err != nil {
 				c.fail(f, err)
 				return
 			}
 			f.buf = data
-			nandReady = true
-			_ = nandReady
 		})
 		c.k.Schedule(c.cfg.DMASetup, func() {
 			f.state = engReadData // writeback half first
