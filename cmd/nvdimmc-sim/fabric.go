@@ -175,8 +175,7 @@ func runFabric(o fabricOpts) {
 	if o.sfaults != "" {
 		fmt.Printf("faults: retries=%d rehomed=%d mig-pages=%d mig-miss=%d post-evac=%d writes-lost=%d\n",
 			s.Ctr.Get("fab-retry-promoted"), s.ChunksRehomed, s.MigPages, s.MigReadMiss,
-			s.PostEvacSubmissions,
-			s.WritesIn-s.WritesAcked-s.WritesFailed-s.WritesShed-s.WritesExpired-s.WritesThrottled)
+			s.PostEvacSubmissions, s.WritesLost())
 	}
 	fmt.Println("sockets:")
 	for si, ss := range s.PerSocket {

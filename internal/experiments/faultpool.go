@@ -31,7 +31,7 @@ type FaultPoolPoint struct {
 	RebuildP99   sim.Duration // p99 of requests completing while a rebuild ran (0: none did)
 
 	Failed         uint64
-	AckedLost      uint64 // writes admitted but neither acked nor typed-failed (must be 0)
+	AckedLost      uint64 // writes admitted but neither acked nor typed-terminal (must be 0)
 	PostQuarantine uint64 // fragments dispatched after quarantine (must be 0)
 	Quarantined    int
 	Evacuated      int
@@ -207,7 +207,7 @@ func faultPoolPoint(o Options, pt, reqs int) (FaultPoolPoint, error) {
 		Onset:          onset,
 		P99:            s.Lat.Percentile(99),
 		Failed:         s.Failed,
-		AckedLost:      s.WritesIn - s.WritesAcked - s.WritesFailed,
+		AckedLost:      s.WritesLost(),
 		PostQuarantine: s.PostQuarantineDispatches,
 		Quarantined:    s.Quarantined,
 		Evacuated:      s.Evacuated,

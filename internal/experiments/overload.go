@@ -365,7 +365,7 @@ func overloadPoint(pt, reqs int, loads []float64, faults []string, capacity floa
 		Shed:       s.Shed,
 		Expired:    s.Expired,
 		Failed:     s.Failed,
-		AckedLost:  s.WritesIn - s.WritesAcked - s.WritesFailed - s.WritesShed - s.WritesExpired,
+		AckedLost:  s.WritesLost(),
 		P99:        s.Lat.Percentile(99),
 	}
 	if s.LatMiss.Count() > 0 {

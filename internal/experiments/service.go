@@ -163,8 +163,8 @@ func servicePoint(o Options, pt, clients, opsPer int) (ServicePoint, error) {
 	row.Dropped = st.PollDropped
 	row.P99US = st.LatP99US
 	row.Health = drain.Health
-	row.AckedLost = int64(st.WritesIn) -
-		int64(st.WritesAcked+st.WritesFailed+st.WritesShed+st.WritesExpired+st.WritesThrottled)
+	// A residual over-accounting shows negative, not as a wrapped count.
+	row.AckedLost = int64(st.WritesLost())
 	row.Violations = rep.Violations
 	return row, nil
 }

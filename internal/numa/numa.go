@@ -185,11 +185,8 @@ type Fabric struct {
 	latRemote  *metrics.Histogram // foreground completions that crossed a link
 	latMigrate *metrics.Histogram // foreground completions while migration ran
 
-	submitted, completed, failed, shed, expired, throttled uint64
-	completedLate                                          uint64
-	writesIn, writesAck, writesFailed                      uint64
-	writesShed, writesExpired, writesThrottled             uint64
-	untypedFailures                                        uint64
+	ledger          pool.Ledger
+	untypedFailures uint64
 	// postEvacSubmissions counts foreground pool submissions that reached a
 	// socket at or past Evacuating; probe-before-submit ordering makes this
 	// structurally zero and CheckHealth asserts it.
@@ -375,10 +372,7 @@ func (f *Fabric) Submit(r openloop.Request) (uint64, error) {
 	if r.Deadline > 0 {
 		req.deadline = r.Arrival + r.Deadline
 	}
-	f.submitted++
-	if r.Write {
-		f.writesIn++
-	}
+	f.ledger.Admit(r.Write)
 	// Split at chunk boundaries, merging consecutive chunks with the same
 	// serving socket so a request crossing an un-re-homed span stays one op.
 	type seg struct {
@@ -558,21 +552,18 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 		ID:      r.id,
 		Tenant:  r.tenant,
 		Write:   r.write,
+		Outcome: pool.OutcomeOf(r.err),
 		At:      sim.Time(r.lastDone),
 		Latency: r.lastDone - r.arrival,
 		Err:     r.err,
 	}
-	switch {
-	case r.err == nil:
-		c.Outcome = pool.OutcomeCompleted
-		f.completed++
-		if r.write {
-			f.writesAck++
-		}
-		if r.deadline > 0 && r.lastDone > r.deadline {
+	late := c.Outcome == pool.OutcomeCompleted && r.deadline > 0 && r.lastDone > r.deadline
+	f.ledger.Retire(c.Outcome, r.write, late)
+	switch c.Outcome {
+	case pool.OutcomeCompleted:
+		if late {
 			c.Late = true
 			c.Lateness = r.lastDone - r.deadline
-			f.completedLate++
 		}
 		lat := c.Latency
 		if r.remote {
@@ -583,30 +574,7 @@ func (f *Fabric) requestPieceDone(r *fabReq, at sim.Duration) {
 		if len(f.jobs) > 0 {
 			f.latMigrate.Record(lat)
 		}
-	case errors.Is(r.err, pool.ErrTenantThrottled):
-		c.Outcome = pool.OutcomeThrottled
-		f.throttled++
-		if r.write {
-			f.writesThrottled++
-		}
-	case errors.Is(r.err, pool.ErrAdmissionFull):
-		c.Outcome = pool.OutcomeShed
-		f.shed++
-		if r.write {
-			f.writesShed++
-		}
-	case errors.Is(r.err, pool.ErrDeadlineExceeded):
-		c.Outcome = pool.OutcomeExpired
-		f.expired++
-		if r.write {
-			f.writesExpired++
-		}
-	default:
-		c.Outcome = pool.OutcomeFailed
-		f.failed++
-		if r.write {
-			f.writesFailed++
-		}
+	case pool.OutcomeFailed:
 		if !errors.Is(r.err, pool.ErrMemberQuarantined) && !errors.Is(r.err, pool.ErrPoolDegraded) &&
 			!errors.Is(r.err, ErrSocketEvacuated) && !errors.Is(r.err, ErrFabricDegraded) {
 			f.untypedFailures++
@@ -701,15 +669,10 @@ func (f *Fabric) Poll(max int) []pool.Completion {
 	return out
 }
 
-// terminal returns the count of retired requests.
-func (f *Fabric) terminal() uint64 {
-	return f.completed + f.failed + f.shed + f.expired + f.throttled
-}
-
 // Quiesced reports whether every submitted request is terminal and no
 // background work (retries, migrations, in-flight pieces) remains.
 func (f *Fabric) Quiesced() bool {
-	if f.terminal() != f.submitted || len(f.retries) != 0 || len(f.jobs) != 0 {
+	if f.ledger.Terminal() != f.ledger.Submitted || len(f.retries) != 0 || len(f.jobs) != 0 {
 		return false
 	}
 	for _, s := range f.socks {
@@ -725,7 +688,7 @@ func (f *Fabric) Drain() error {
 	for !f.Quiesced() {
 		if f.epochs >= f.Cfg.MaxEpochs {
 			return fmt.Errorf("numa: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				f.epochs, f.terminal(), f.submitted)
+				f.epochs, f.ledger.Terminal(), f.ledger.Submitted)
 		}
 		f.Step()
 	}
@@ -743,7 +706,7 @@ func (f *Fabric) Run(next func() (openloop.Request, bool)) error {
 	for {
 		if f.epochs >= f.Cfg.MaxEpochs {
 			return fmt.Errorf("numa: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				f.epochs, f.terminal(), f.submitted)
+				f.epochs, f.ledger.Terminal(), f.ledger.Submitted)
 		}
 		epochEnd := f.now + f.epoch
 		for !exhausted {

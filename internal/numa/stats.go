@@ -26,12 +26,9 @@ type Stats struct {
 	// under an "s<i>/" prefix.
 	Ctr *metrics.Counters
 
-	Submitted, Completed, Failed   uint64
-	Shed, Expired, Throttled       uint64
-	CompletedLate                  uint64
-	WritesIn, WritesAcked          uint64
-	WritesFailed, WritesShed       uint64
-	WritesExpired, WritesThrottled uint64
+	// Ledger holds the fabric's conservation counters, one entry per
+	// fabric request however many socket pieces it split into.
+	pool.Ledger
 
 	// PostEvacSubmissions counts foreground pool submissions that reached a
 	// socket at or past Evacuating — structurally zero (see dispatch).
@@ -54,19 +51,7 @@ func (f *Fabric) Stats() Stats {
 		LatRemote:           f.latRemote,
 		LatMigrate:          f.latMigrate,
 		Ctr:                 metrics.NewCounters(),
-		Submitted:           f.submitted,
-		Completed:           f.completed,
-		Failed:              f.failed,
-		Shed:                f.shed,
-		Expired:             f.expired,
-		Throttled:           f.throttled,
-		CompletedLate:       f.completedLate,
-		WritesIn:            f.writesIn,
-		WritesAcked:         f.writesAck,
-		WritesFailed:        f.writesFailed,
-		WritesShed:          f.writesShed,
-		WritesExpired:       f.writesExpired,
-		WritesThrottled:     f.writesThrottled,
+		Ledger:              f.ledger,
 		PostEvacSubmissions: f.postEvacSubmissions,
 		RemoteRequests:      f.ctr.Get("remote-requests"),
 		ChunksRehomed:       f.ctr.Get("chunks-rehomed"),
@@ -99,13 +84,8 @@ func (f *Fabric) Stats() Stats {
 //   - no piece stranded in retry backoff or pending maps, no migration
 //     still running, no orphaned pool completion.
 func (f *Fabric) CheckHealth() error {
-	if f.terminal() != f.submitted {
-		return fmt.Errorf("numa: %d of %d requests unaccounted (completed %d + failed %d + shed %d + expired %d + throttled %d)",
-			f.submitted-f.terminal(), f.submitted, f.completed, f.failed, f.shed, f.expired, f.throttled)
-	}
-	if f.writesAck+f.writesFailed+f.writesShed+f.writesExpired+f.writesThrottled != f.writesIn {
-		return fmt.Errorf("numa: %d writes admitted but %d acked + %d typed-failed + %d shed + %d expired + %d throttled (acked-write loss)",
-			f.writesIn, f.writesAck, f.writesFailed, f.writesShed, f.writesExpired, f.writesThrottled)
+	if err := f.ledger.Check(); err != nil {
+		return fmt.Errorf("numa: %w", err)
 	}
 	if f.untypedFailures != 0 {
 		return fmt.Errorf("numa: %d requests failed without a typed error", f.untypedFailures)

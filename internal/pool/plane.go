@@ -41,9 +41,12 @@
 //     promptly land.
 //
 // Every terminal outcome is conserved: submitted = completed + shed +
-// expired + typed-failed, and writes in = acked + shed + expired +
-// typed-failed (CheckHealth asserts both) — an acked write is never lost
-// and nothing disappears silently, no matter how hard the plane is pushed.
+// expired + throttled + typed-failed, and writes in = acked + shed +
+// expired + throttled + typed-failed. Both equations live in one place,
+// Ledger, which the pool, its tenants, the NUMA fabric and the network
+// service all count through (CheckHealth asserts Ledger.Check) — an acked
+// write is never lost and nothing disappears silently, no matter how hard
+// the plane is pushed.
 package pool
 
 import (
@@ -137,10 +140,11 @@ const (
 	// OutcomeFailed: typed failure (retries exhausted, member quarantined).
 	OutcomeFailed
 	// OutcomeThrottled: refused by the tenant's token bucket (qos.go).
-	// Throttling is synchronous at Submit — the caller holds the typed
-	// ErrTenantThrottled and no Completion record is produced — so the
-	// outcome appears only if a future path retires a throttled request
-	// asynchronously.
+	// The pool throttles synchronously at Submit — the caller holds the
+	// typed ErrTenantThrottled and no Completion record is produced. The
+	// NUMA fabric retires it asynchronously: a multi-piece fabric request
+	// with one piece throttled and another admitted completes through
+	// Poll/Notify with this outcome once the admitted piece lands.
 	OutcomeThrottled
 )
 
@@ -158,6 +162,146 @@ func (o Outcome) String() string {
 		return "throttled"
 	}
 	return fmt.Sprintf("Outcome(%d)", int(o))
+}
+
+// OutcomeOf classifies a terminal request by its typed error chain: nil is
+// completed; otherwise the first of ErrTenantThrottled, ErrAdmissionFull
+// and ErrDeadlineExceeded found in the chain names the outcome, and any
+// other error is a failure. It is the one classification every request
+// plane (pool, fabric, service) retires through.
+func OutcomeOf(err error) Outcome {
+	switch {
+	case err == nil:
+		return OutcomeCompleted
+	case errors.Is(err, ErrTenantThrottled):
+		return OutcomeThrottled
+	case errors.Is(err, ErrAdmissionFull):
+		return OutcomeShed
+	case errors.Is(err, ErrDeadlineExceeded):
+		return OutcomeExpired
+	}
+	return OutcomeFailed
+}
+
+// requestCounter names each outcome's per-channel "requests-<outcome>"
+// counter: a fixed table, so retiring a request never builds a string.
+var requestCounter = [...]string{
+	OutcomeCompleted: "requests-completed",
+	OutcomeShed:      "requests-shed",
+	OutcomeExpired:   "requests-expired",
+	OutcomeFailed:    "requests-failed",
+	OutcomeThrottled: "requests-throttled",
+}
+
+// Ledger is a request plane's conservation ledger: every request is
+// admitted once and retired once with exactly one Outcome, and writes are
+// tracked alongside so an acknowledged write can never go missing. The
+// pool, each QoS tenant, the NUMA fabric and the service's /v1/stats body
+// all count through it; the JSON tags are the /v1/stats wire names.
+type Ledger struct {
+	Submitted uint64 `json:"submitted"`
+	Completed uint64 `json:"completed"`
+	// Failed counts typed failures (retries exhausted, member quarantined,
+	// socket evacuated). Shed counts ErrAdmissionFull refusals, Expired
+	// ErrDeadlineExceeded, and Throttled token-bucket refusals
+	// (ErrTenantThrottled).
+	Failed    uint64 `json:"failed"`
+	Shed      uint64 `json:"shed"`
+	Expired   uint64 `json:"expired"`
+	Throttled uint64 `json:"throttled"`
+	// CompletedLate counts completions that landed past their deadline —
+	// completed work, just late.
+	CompletedLate uint64 `json:"completed_late"`
+
+	// WritesIn counts admitted writes; each retires as acked or with one
+	// of the typed terminal outcomes. A typed-terminal write was never
+	// acked, so it is not lost — the submitter was told.
+	WritesIn        uint64 `json:"writes_in"`
+	WritesAcked     uint64 `json:"writes_acked"`
+	WritesFailed    uint64 `json:"writes_failed"`
+	WritesShed      uint64 `json:"writes_shed"`
+	WritesExpired   uint64 `json:"writes_expired"`
+	WritesThrottled uint64 `json:"writes_throttled"`
+}
+
+// Admit books one submitted request.
+func (l *Ledger) Admit(write bool) {
+	l.Submitted++
+	if write {
+		l.WritesIn++
+	}
+}
+
+// Retire books one request's terminal outcome; late marks a completion
+// past its deadline (ignored for the other outcomes).
+func (l *Ledger) Retire(o Outcome, write, late bool) {
+	var w *uint64
+	switch o {
+	case OutcomeCompleted:
+		l.Completed++
+		if late {
+			l.CompletedLate++
+		}
+		w = &l.WritesAcked
+	case OutcomeShed:
+		l.Shed++
+		w = &l.WritesShed
+	case OutcomeExpired:
+		l.Expired++
+		w = &l.WritesExpired
+	case OutcomeThrottled:
+		l.Throttled++
+		w = &l.WritesThrottled
+	default:
+		l.Failed++
+		w = &l.WritesFailed
+	}
+	if write {
+		*w++
+	}
+}
+
+// Terminal returns how many requests reached an outcome.
+func (l Ledger) Terminal() uint64 {
+	return l.Completed + l.Failed + l.Shed + l.Expired + l.Throttled
+}
+
+// WritesLost returns admitted writes with no outcome yet: writes still in
+// flight while the plane runs, acknowledged-write loss once it drained.
+func (l Ledger) WritesLost() uint64 {
+	return l.WritesIn - (l.WritesAcked + l.WritesFailed + l.WritesShed + l.WritesExpired + l.WritesThrottled)
+}
+
+// add folds o into l, field by field.
+func (l *Ledger) add(o Ledger) {
+	l.Submitted += o.Submitted
+	l.Completed += o.Completed
+	l.Failed += o.Failed
+	l.Shed += o.Shed
+	l.Expired += o.Expired
+	l.Throttled += o.Throttled
+	l.CompletedLate += o.CompletedLate
+	l.WritesIn += o.WritesIn
+	l.WritesAcked += o.WritesAcked
+	l.WritesFailed += o.WritesFailed
+	l.WritesShed += o.WritesShed
+	l.WritesExpired += o.WritesExpired
+	l.WritesThrottled += o.WritesThrottled
+}
+
+// Check asserts both conservation equations of a drained plane: every
+// submitted request is terminal, and every admitted write is acked or
+// typed-terminal (zero acknowledged-write loss).
+func (l Ledger) Check() error {
+	if t := l.Terminal(); t != l.Submitted {
+		return fmt.Errorf("%d of %d requests unaccounted (completed %d + failed %d + shed %d + expired %d + throttled %d)",
+			l.Submitted-t, l.Submitted, l.Completed, l.Failed, l.Shed, l.Expired, l.Throttled)
+	}
+	if l.WritesLost() != 0 {
+		return fmt.Errorf("%d writes admitted but %d acked + %d typed-failed + %d shed + %d expired + %d throttled (acked-write loss)",
+			l.WritesIn, l.WritesAcked, l.WritesFailed, l.WritesShed, l.WritesExpired, l.WritesThrottled)
+	}
+	return nil
 }
 
 // Completion is one terminal request record, delivered in deterministic
@@ -274,7 +418,7 @@ func (p *Pool) Backlog() int {
 // Quiesced reports whether every submitted request reached a terminal
 // outcome and no background work (retries, rebuilds) remains.
 func (p *Pool) Quiesced() bool {
-	return p.terminal() == p.submitted && p.Backlog() == 0 && len(p.rebuilds) == 0
+	return p.ledger.Terminal() == p.ledger.Submitted && p.Backlog() == 0 && len(p.rebuilds) == 0
 }
 
 // Drain steps the plane until it quiesces (or the MaxEpochs guard trips),
@@ -284,7 +428,7 @@ func (p *Pool) Drain() error {
 	for !p.Quiesced() {
 		if p.epochs >= p.Cfg.MaxEpochs {
 			return fmt.Errorf("pool: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				p.epochs, p.terminal(), p.submitted)
+				p.epochs, p.ledger.Terminal(), p.ledger.Submitted)
 		}
 		if k := p.quietEpochs(p.Cfg.MaxEpochs - p.epochs); k > 1 {
 			p.stepQuiet(k)
@@ -293,12 +437,6 @@ func (p *Pool) Drain() error {
 		}
 	}
 	return nil
-}
-
-// terminal is the conservation left-hand side: every request that reached an
-// outcome.
-func (p *Pool) terminal() uint64 {
-	return p.completed + p.failed + p.shed + p.expired + p.throttled
 }
 
 // submitReq decodes one arrival, applies the admission policy, and either
@@ -314,35 +452,24 @@ func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
 	}
 	p.nextID++
 	id := p.nextID
-	p.submitted++
-	if r.Write {
-		p.writesIn++
-	}
 	ts := p.qosTenant(r.Tenant)
+	p.ledger.Admit(r.Write)
+	if ts != nil {
+		ts.ledger.Admit(r.Write)
+	}
+	channel0 := p.channelOf(frags[0].Member)
 
 	// Token-bucket policing gates admission before every other policy: a
 	// tenant over its rate is refused here, synchronously and typed, before
 	// its fragments could occupy any queue. Enforcement is armed only under
 	// QoS isolation; tracking-only configs never throttle.
 	if p.Cfg.QoS.Isolation && !ts.admitBucket() {
-		p.throttled++
-		if r.Write {
-			p.writesThrottled++
-		}
-		ts.throttled++
-		p.chans[p.channelOf(frags[0].Member)].ctr.Inc("requests-throttled")
+		p.retire(channel0, ts, OutcomeThrottled, r.Write, false)
 		return id, fmt.Errorf("pool: tenant %d: %w", r.Tenant, ErrTenantThrottled)
 	}
 
 	if reason := p.shedAtAdmission(frags, r.Write, arrival, deadline); reason != nil {
-		p.shed++
-		if r.Write {
-			p.writesShed++
-		}
-		if ts != nil {
-			ts.shed++
-		}
-		p.chans[p.channelOf(frags[0].Member)].ctr.Inc("requests-shed")
+		p.retire(channel0, ts, OutcomeShed, r.Write, false)
 		return id, reason
 	}
 
@@ -355,7 +482,7 @@ func (p *Pool) submitReq(r openloop.Request, notify bool) (uint64, error) {
 		bytes:     r.Len,
 		notify:    notify,
 		remaining: len(frags),
-		channel0:  p.channelOf(frags[0].Member),
+		channel0:  channel0,
 	}
 	for i := range frags {
 		f := &fragment{req: req, member: frags[i].Member, off: frags[i].Off, n: frags[i].Len}

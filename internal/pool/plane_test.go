@@ -3,6 +3,7 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"nvdimmc/internal/fault"
@@ -141,7 +142,7 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	ch.ewma = 2 * p.Cfg.Epoch // measured service alone overshoots the budget
 
 	r := &request{id: 1, arrival: p.now, deadline: p.now.Add(p.Cfg.Epoch), remaining: 1, notify: true}
-	p.submitted++
+	p.ledger.Admit(false)
 	epochsBefore := p.epochs
 	p.fragFailed(&fragment{req: r, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
 	if len(p.retries) != 0 {
@@ -153,8 +154,8 @@ func TestPlaneRetryFailFast(t *testing.T) {
 	if !errors.Is(r.err, ErrDeadlineExceeded) {
 		t.Fatalf("request error %v, want ErrDeadlineExceeded chain", r.err)
 	}
-	if p.expired != 1 {
-		t.Fatalf("expired=%d, want the failed request counted expired", p.expired)
+	if p.ledger.Expired != 1 {
+		t.Fatalf("expired=%d, want the failed request counted expired", p.ledger.Expired)
 	}
 	if got := ch.ctr.Get("frags-retry-expired"); got != 1 {
 		t.Fatalf("frags-retry-expired=%d, want 1", got)
@@ -166,7 +167,7 @@ func TestPlaneRetryFailFast(t *testing.T) {
 
 	// Same failure with no deadline: the retry is armed with its backoff.
 	r2 := &request{id: 2, arrival: p.now, remaining: 1}
-	p.submitted++
+	p.ledger.Admit(false)
 	p.fragFailed(&fragment{req: r2, member: 0, n: 4096}, fmt.Errorf("injected media error"), p.now)
 	if len(p.retries) != 1 {
 		t.Fatalf("%d retries armed without a deadline, want 1", len(p.retries))
@@ -494,5 +495,95 @@ func TestPlaneNotifyMatchesPollAcrossDrain(t *testing.T) {
 		if i < 24 != (c.ID <= 24) {
 			t.Fatalf("record %d (ID %d) crossed its drain cycle", i, c.ID)
 		}
+	}
+}
+
+// TestLedger pins the conservation ledger every request plane counts
+// through: OutcomeOf's classification of bare and wrapped typed chains,
+// Check rejecting either unbalanced equation, and WritesLost reading zero
+// on a drained run whose writes were shed and expired rather than acked.
+func TestLedger(t *testing.T) {
+	media := errors.New("injected media error")
+	for _, c := range []struct {
+		name string
+		err  error
+		want Outcome
+	}{
+		{"nil", nil, OutcomeCompleted},
+		{"bare throttled", ErrTenantThrottled, OutcomeThrottled},
+		{"bare shed", ErrAdmissionFull, OutcomeShed},
+		{"bare expired", ErrDeadlineExceeded, OutcomeExpired},
+		{"bare degraded", ErrPoolDegraded, OutcomeFailed},
+		{"untyped", media, OutcomeFailed},
+		{"pool throttle", fmt.Errorf("pool: tenant 3: %w", ErrTenantThrottled), OutcomeThrottled},
+		// The fabric wraps each piece's pool error once more.
+		{"numa piece shed", fmt.Errorf("numa: piece [%d,+%d): %w", 4096, 4096,
+			fmt.Errorf("pool: channel 0 held 8+1 over cap 8: %w", ErrAdmissionFull)), OutcomeShed},
+		{"numa piece throttled", fmt.Errorf("numa: piece [%d,+%d): %w", 0, 64,
+			fmt.Errorf("pool: tenant 0: %w", ErrTenantThrottled)), OutcomeThrottled},
+		// The retry-deadline chain wraps two errors; the deadline names it
+		// even when the last attempt failed on a quarantined member.
+		{"retry deadline", fmt.Errorf("pool: retry %d cannot land inside deadline: %w (last error: %w)",
+			2, ErrDeadlineExceeded, fmt.Errorf("m1: %w", ErrMemberQuarantined)), OutcomeExpired},
+		{"retries exhausted", fmt.Errorf("%w (%d attempts): %w", ErrPoolDegraded, 4, media), OutcomeFailed},
+		{"throttle outranks shed", errors.Join(ErrAdmissionFull, ErrTenantThrottled), OutcomeThrottled},
+		{"shed outranks expiry", errors.Join(ErrDeadlineExceeded, ErrAdmissionFull), OutcomeShed},
+	} {
+		if got := OutcomeOf(c.err); got != c.want {
+			t.Errorf("%s: OutcomeOf(%v) = %v, want %v", c.name, c.err, got, c.want)
+		}
+	}
+
+	// Each outcome lands in its own request and write counter.
+	var l Ledger
+	for o := OutcomeCompleted; o <= OutcomeThrottled; o++ {
+		l.Admit(true)
+		l.Retire(o, true, o == OutcomeCompleted)
+	}
+	want := Ledger{Submitted: 5, Completed: 1, Failed: 1, Shed: 1, Expired: 1, Throttled: 1, CompletedLate: 1,
+		WritesIn: 5, WritesAcked: 1, WritesFailed: 1, WritesShed: 1, WritesExpired: 1, WritesThrottled: 1}
+	if l != want {
+		t.Fatalf("ledger %+v, want %+v", l, want)
+	}
+	if err := l.Check(); err != nil {
+		t.Fatalf("balanced ledger: %v", err)
+	}
+	short := l
+	short.Admit(false) // submitted, never retired
+	if err := short.Check(); err == nil || !strings.Contains(err.Error(), "unaccounted") {
+		t.Fatalf("terminal shortfall: Check() = %v", err)
+	}
+	missing := l
+	missing.Admit(true)
+	missing.Retire(OutcomeCompleted, false, false) // request retired, its write outcome not
+	if err := missing.Check(); err == nil || !strings.Contains(err.Error(), "acked-write loss") {
+		t.Fatalf("missing write outcome: Check() = %v", err)
+	}
+	if missing.WritesLost() != 1 {
+		t.Fatalf("missing write outcome: WritesLost() = %d, want 1", missing.WritesLost())
+	}
+
+	// A drained overload run: writes shed at admission and expired in the
+	// held list are typed outcomes, not losses.
+	p := newTestPool(t, 1, 1, 1, 4096, func(c *Config) {
+		c.Admission = AdmitShedNewest
+		c.QueueCap = 4
+		c.PendingCap = 16
+	})
+	for i := 0; i < 40; i++ {
+		p.Submit(openloop.Request{Off: int64(i%32) * 4096, Len: 4096, Write: true, Deadline: p.Cfg.Epoch})
+	}
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.CheckHealth(); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Stats()
+	if s.WritesShed == 0 || s.WritesExpired == 0 {
+		t.Fatalf("writes shed=%d expired=%d; the run must exercise both", s.WritesShed, s.WritesExpired)
+	}
+	if s.WritesLost() != 0 || s.Check() != nil {
+		t.Fatalf("WritesLost()=%d Check()=%v on a drained run", s.WritesLost(), s.Check())
 	}
 }

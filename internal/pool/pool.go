@@ -410,28 +410,8 @@ type Pool struct {
 	completions []Completion
 	nextID      uint64
 
-	submitted uint64
-	completed uint64
-	failed    uint64
-	// shed / expired are the overload outcomes: dropped by an admission
-	// policy, or deadline passed before completion. Terminal like failed —
-	// completed + failed + shed + expired == submitted once drained.
-	shed    uint64
-	expired uint64
-	// completedLate counts completions that landed past their deadline
-	// (still completed — the work was done, just late).
-	completedLate uint64
-	writesIn      uint64
-	writesAck     uint64
-	// writesFailed counts writes that terminated with a typed error: they
-	// were never acked, so they are not lost — the submitter was told.
-	writesFailed  uint64
-	writesShed    uint64
-	writesExpired uint64
-	// throttled counts requests refused at admission by their tenant's token
-	// bucket (typed ErrTenantThrottled) — terminal like shed.
-	throttled       uint64
-	writesThrottled uint64
+	// ledger counts every request's admission and terminal outcome.
+	ledger Ledger
 	// qosT is the per-tenant QoS runtime state (len(Cfg.QoS.Tenants)+1, the
 	// last a catch-all; nil when QoS is off). Boundary-only, like all
 	// cross-member state.
@@ -792,10 +772,8 @@ func (p *Pool) fragFailed(f *fragment, err error, at sim.Time) {
 
 // requestPieceDone retires one fragment outcome (success, sweep, or
 // terminal failure) against its request and finishes the request when it
-// was the last, classifying it by its typed error chain: shed
-// (ErrAdmissionFull), expired (ErrDeadlineExceeded), failed (other typed
-// errors), or completed — recording latency, and lateness when a completion
-// landed past its deadline.
+// was the last: OutcomeOf classifies it, retire books it, and a completion
+// records its latency (and lateness when it landed past its deadline).
 func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 	if at > r.lastDone {
 		r.lastDone = at
@@ -810,77 +788,34 @@ func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 		ID:      r.id,
 		Tenant:  r.tenant,
 		Write:   r.write,
+		Outcome: OutcomeOf(r.err),
 		Err:     r.err,
 		At:      r.lastDone,
 		Latency: r.lastDone.Sub(r.arrival),
 	}
-	switch {
-	case r.err == nil:
+	late := rec.Outcome == OutcomeCompleted && r.deadline > 0 && r.lastDone > r.deadline
+	p.retire(r.channel0, ts, rec.Outcome, r.write, late)
+	switch rec.Outcome {
+	case OutcomeCompleted:
 		lat := rec.Latency
 		ch0.lat.Record(lat)
 		if len(p.rebuilds) > 0 {
 			p.latRebuild.Record(lat)
 		}
-		ch0.ctr.Inc("requests-completed")
-		p.completed++
-		if r.write {
-			p.writesAck++
-		}
 		if ts != nil {
-			ts.completed++
 			ts.lat.Record(lat)
 			ts.meter.Record(r.lastDone, r.bytes)
 			if ts.cfg.SLOP99 > 0 && lat > ts.cfg.SLOP99 {
 				ts.overSLO++
 			}
 		}
-		if r.deadline > 0 && r.lastDone > r.deadline {
+		if late {
 			rec.Late = true
 			rec.Lateness = r.lastDone.Sub(r.deadline)
-			p.completedLate++
 			p.latMiss.Record(rec.Lateness)
 			ch0.ctr.Inc("requests-late")
 		}
-	case errors.Is(r.err, ErrTenantThrottled):
-		rec.Outcome = OutcomeThrottled
-		ch0.ctr.Inc("requests-throttled")
-		p.throttled++
-		if r.write {
-			p.writesThrottled++
-		}
-		if ts != nil {
-			ts.throttled++
-		}
-	case errors.Is(r.err, ErrAdmissionFull):
-		rec.Outcome = OutcomeShed
-		ch0.ctr.Inc("requests-shed")
-		p.shed++
-		if r.write {
-			p.writesShed++
-		}
-		if ts != nil {
-			ts.shed++
-		}
-	case errors.Is(r.err, ErrDeadlineExceeded):
-		rec.Outcome = OutcomeExpired
-		ch0.ctr.Inc("requests-expired")
-		p.expired++
-		if r.write {
-			p.writesExpired++
-		}
-		if ts != nil {
-			ts.expired++
-		}
-	default:
-		rec.Outcome = OutcomeFailed
-		ch0.ctr.Inc("requests-failed")
-		p.failed++
-		if r.write {
-			p.writesFailed++
-		}
-		if ts != nil {
-			ts.failed++
-		}
+	case OutcomeFailed:
 		if p.firstFailure == nil {
 			p.firstFailure = r.err
 		}
@@ -891,6 +826,16 @@ func (p *Pool) requestPieceDone(r *request, at sim.Time) {
 	if r.notify || p.Cfg.Notify != nil {
 		p.completions = append(p.completions, rec)
 	}
+}
+
+// retire books one terminal request in the pool's and its tenant's ledgers
+// and on the "requests-<outcome>" counter of the channel that admitted it.
+func (p *Pool) retire(channel0 int, ts *tenantState, o Outcome, write, late bool) {
+	p.ledger.Retire(o, write, late)
+	if ts != nil {
+		ts.ledger.Retire(o, write, late)
+	}
+	p.chans[channel0].ctr.Inc(requestCounter[o])
 }
 
 // promoteRetries re-admits backoff-expired fragments (retry-queue order,
@@ -1086,7 +1031,7 @@ func (p *Pool) Run(next func() (openloop.Request, bool)) error {
 	for {
 		if p.epochs >= p.Cfg.MaxEpochs {
 			return fmt.Errorf("pool: %d epochs without draining (%d/%d requests terminal) — wedged?",
-				p.epochs, p.terminal(), p.submitted)
+				p.epochs, p.ledger.Terminal(), p.ledger.Submitted)
 		}
 		epochEnd := p.now.Add(p.Cfg.Epoch)
 		for !exhausted {
@@ -1160,36 +1105,13 @@ type Stats struct {
 	// (logical members first, then spares).
 	PerMember []MemberStats
 
-	Submitted uint64
-	Completed uint64
-	// Failed counts requests that terminated with a typed fault error
-	// (retries exhausted or member quarantined with no spare). Completed +
-	// Failed + Shed + Expired + Throttled == Submitted once the pool drains.
-	Failed uint64
-	// Shed counts requests dropped typed (ErrAdmissionFull) by an admission
-	// policy; Expired counts requests whose deadline passed before
-	// completion (ErrDeadlineExceeded). Both are terminal outcomes.
-	Shed    uint64
-	Expired uint64
-	// Throttled counts requests refused at admission by their tenant's token
-	// bucket (typed ErrTenantThrottled) — terminal like Shed.
-	Throttled       uint64
-	WritesThrottled uint64
+	// Ledger holds the conservation counters: Completed + Failed + Shed +
+	// Expired + Throttled == Submitted once the pool drains, and every
+	// admitted write is acked or typed-terminal.
+	Ledger
 	// PerTenant carries each configured QoS tenant's view, tenant order
 	// (nil when Cfg.QoS is off).
 	PerTenant []TenantStats
-	// CompletedLate counts completions that landed past their deadline —
-	// completed work, just late; LatMiss holds their overshoot.
-	CompletedLate uint64
-	WritesIn      uint64
-	WritesAcked   uint64
-	// WritesFailed counts writes refused with a typed error before any ack;
-	// WritesShed and WritesExpired the same for the overload outcomes.
-	// WritesAcked + WritesFailed + WritesShed + WritesExpired == WritesIn
-	// means no acked write was lost.
-	WritesFailed  uint64
-	WritesShed    uint64
-	WritesExpired uint64
 	// PostQuarantineDispatches must be zero: no fragment was dispatched to
 	// an already-quarantined member.
 	PostQuarantineDispatches uint64
@@ -1246,20 +1168,8 @@ func (p *Pool) Stats() Stats {
 		LatMiss:                  p.latMiss,
 		Meter:                    metrics.NewMeter(p.epoch0),
 		Ctr:                      metrics.NewCounters(),
-		Submitted:                p.submitted,
-		Completed:                p.completed,
-		Failed:                   p.failed,
-		Shed:                     p.shed,
-		Expired:                  p.expired,
-		Throttled:                p.throttled,
-		WritesThrottled:          p.writesThrottled,
+		Ledger:                   p.ledger,
 		PerTenant:                p.tenantStats(),
-		CompletedLate:            p.completedLate,
-		WritesIn:                 p.writesIn,
-		WritesAcked:              p.writesAck,
-		WritesFailed:             p.writesFailed,
-		WritesShed:               p.writesShed,
-		WritesExpired:            p.writesExpired,
 		PostQuarantineDispatches: p.postQuarantine,
 		SparesUsed:               p.sparesUsed,
 		FirstFailure:             p.firstFailure,
@@ -1306,21 +1216,16 @@ func (p *Pool) Member(i int) *core.System { return p.members[i].sys }
 func (p *Pool) Members() int { return len(p.members) }
 
 // CheckHealth runs every serving member's CheckHealth and the pool's own
-// conservation invariants: every submitted request reached exactly one
-// terminal outcome — completed, shed, expired, or failed, the latter three
-// typed (nothing silently dropped) — every write either acked or
-// typed-terminal, no fragment stranded in a queue, window, retry queue or
-// rebuild, and no fragment dispatched to a quarantined member. Quarantined
+// conservation invariants: the ledger balances (Ledger.Check: every request
+// terminal, every write acked or typed-terminal), the tenant ledgers sum to
+// it, every failure is typed (nothing silently dropped), no fragment
+// stranded in a queue, window, retry queue or rebuild, and no fragment
+// dispatched to a quarantined member. Quarantined
 // and evacuated members are exempt from the per-member check — containing
 // their sickness is the pool's job, and it did.
 func (p *Pool) CheckHealth() error {
-	if p.terminal() != p.submitted {
-		return fmt.Errorf("pool: %d of %d requests unaccounted (completed %d + shed %d + expired %d + failed %d + throttled %d)",
-			p.submitted-p.terminal(), p.submitted, p.completed, p.shed, p.expired, p.failed, p.throttled)
-	}
-	if p.writesAck+p.writesFailed+p.writesShed+p.writesExpired+p.writesThrottled != p.writesIn {
-		return fmt.Errorf("pool: %d writes admitted but %d acked + %d typed-failed + %d shed + %d expired + %d throttled (acked-write loss)",
-			p.writesIn, p.writesAck, p.writesFailed, p.writesShed, p.writesExpired, p.writesThrottled)
+	if err := p.ledger.Check(); err != nil {
+		return fmt.Errorf("pool: %w", err)
 	}
 	if err := p.checkQoSConservation(); err != nil {
 		return err

@@ -15,10 +15,8 @@ import "sort"
 // signal by their deltas, gauges (Suspects, BreakersOpen,
 // DegradedPositions) by their level.
 type Probe struct {
-	Epochs    int
-	Submitted uint64
-	Completed uint64
-	Failed    uint64
+	Epochs int
+	Ledger
 
 	// UntypedFailures / PostQuarantine mirror the CheckHealth invariants:
 	// nonzero means the pool itself has breached conservation, the
@@ -43,9 +41,7 @@ type Probe struct {
 func (p *Pool) Probe() Probe {
 	pr := Probe{
 		Epochs:          p.epochs,
-		Submitted:       p.submitted,
-		Completed:       p.completed,
-		Failed:          p.failed,
+		Ledger:          p.ledger,
 		UntypedFailures: p.untypedFailures,
 		PostQuarantine:  p.postQuarantine,
 	}

@@ -148,11 +148,8 @@ type tenantState struct {
 	lat   *metrics.Histogram
 	meter *metrics.Meter
 
-	completed uint64
-	throttled uint64
-	shed      uint64
-	expired   uint64
-	failed    uint64
+	// ledger books the tenant's share of the pool ledger.
+	ledger Ledger
 	// overSLO counts completions (online, as they land) slower than the
 	// tenant's SLOP99 target — the running violation counter; the final
 	// verdict compares the whole histogram's p99 against the target.
@@ -339,13 +336,9 @@ type TenantStats struct {
 	Lat   *metrics.Histogram
 	Meter *metrics.Meter
 
-	Completed uint64
-	// Throttled counts requests refused at admission by the tenant's token
-	// bucket (typed ErrTenantThrottled, terminal).
-	Throttled uint64
-	Shed      uint64
-	Expired   uint64
-	Failed    uint64
+	// Ledger is the tenant's share of the pool ledger (Throttled counts its
+	// token-bucket refusals).
+	Ledger
 	// OverSLO is the online count of completions slower than SLOP99.
 	OverSLO uint64
 }
@@ -377,38 +370,26 @@ func (p *Pool) tenantStats() []TenantStats {
 			SLOP99:     ts.cfg.SLOP99,
 			Lat:        ts.lat,
 			Meter:      ts.meter,
-			Completed:  ts.completed,
-			Throttled:  ts.throttled,
-			Shed:       ts.shed,
-			Expired:    ts.expired,
-			Failed:     ts.failed,
+			Ledger:     ts.ledger,
 			OverSLO:    ts.overSLO,
 		}
 	}
 	return out
 }
 
-// checkQoSConservation asserts that every terminal outcome was attributed to
-// exactly one tenant: the per-tenant counters (catch-all included) must sum
-// to the pool's terminal total, outcome by outcome.
+// checkQoSConservation asserts that every request was attributed to exactly
+// one tenant: the tenant ledgers (catch-all included) must sum to the pool
+// ledger, field by field — submissions and writes as well as outcomes.
 func (p *Pool) checkQoSConservation() error {
 	if len(p.qosT) == 0 {
 		return nil
 	}
-	var completed, throttled, shed, expired, failed uint64
+	var sum Ledger
 	for i := range p.qosT {
-		ts := &p.qosT[i]
-		completed += ts.completed
-		throttled += ts.throttled
-		shed += ts.shed
-		expired += ts.expired
-		failed += ts.failed
+		sum.add(p.qosT[i].ledger)
 	}
-	if completed != p.completed || throttled != p.throttled ||
-		shed != p.shed || expired != p.expired || failed != p.failed {
-		return fmt.Errorf("pool: per-tenant outcomes (completed %d throttled %d shed %d expired %d failed %d) do not sum to pool totals (%d %d %d %d %d)",
-			completed, throttled, shed, expired, failed,
-			p.completed, p.throttled, p.shed, p.expired, p.failed)
+	if sum != p.ledger {
+		return fmt.Errorf("pool: per-tenant ledgers %+v do not sum to the pool ledger %+v", sum, p.ledger)
 	}
 	return nil
 }

@@ -526,3 +526,51 @@ func TestQoSWorkerCountIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestQoSTenantLedgersSumToPool: after a burst that throttles, sheds and
+// expires requests of both tenants, reads and writes alike, the tenant
+// ledgers sum to the pool ledger field by field — submissions and write
+// outcomes included, not just the five request outcomes.
+func TestQoSTenantLedgersSumToPool(t *testing.T) {
+	p := newTestPool(t, 2, 1, 1, 4096, noProbe, func(c *Config) {
+		c.Admission = AdmitShedNewest
+		c.QueueCap = 4
+		c.PendingCap = 12
+		c.QoS = QoSConfig{Isolation: true, Tenants: []TenantQoS{
+			{Name: "hot", RatePerSec: 1e5, Burst: 10},
+			{Name: "cold"},
+		}}
+	})
+	foot := p.CachedFootprint()
+	for i := 0; i < 80; i++ {
+		p.Submit(openloop.Request{
+			Tenant:   i % 2,
+			Off:      (int64(i) * 4096) % foot,
+			Len:      4096,
+			Write:    i%3 == 0,
+			Deadline: p.Cfg.Epoch,
+		})
+	}
+	s := finish(t, p)
+	if s.Throttled == 0 || s.Shed == 0 || s.Expired == 0 {
+		t.Fatalf("mix throttled=%d shed=%d expired=%d; want all three", s.Throttled, s.Shed, s.Expired)
+	}
+	if s.WritesThrottled == 0 || s.WritesShed == 0 || s.WritesExpired == 0 {
+		t.Fatalf("write mix throttled=%d shed=%d expired=%d; want all three",
+			s.WritesThrottled, s.WritesShed, s.WritesExpired)
+	}
+	var sum Ledger
+	for _, ts := range s.PerTenant {
+		sum.add(ts.Ledger)
+	}
+	if sum != s.Ledger {
+		t.Fatalf("tenant ledgers sum to %+v, pool ledger %+v", sum, s.Ledger)
+	}
+	// The check CheckHealth runs must catch a request booked to the pool
+	// but to no tenant.
+	p.ledger.Admit(true)
+	p.ledger.Retire(OutcomeCompleted, true, false)
+	if err := p.checkQoSConservation(); err == nil {
+		t.Fatal("checkQoSConservation accepted a request no tenant was charged for")
+	}
+}

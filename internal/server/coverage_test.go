@@ -176,13 +176,13 @@ func fakeStats(t *testing.T, st Stats) *Client {
 // TestWaitQuiescedTimeout: a service that never quiesces must time out with
 // the backlog in the error, and a service that is quiesced returns at once.
 func TestWaitQuiescedTimeout(t *testing.T) {
-	busy := fakeStats(t, Stats{Submitted: 10, Terminal: 4, Backlog: 6})
+	busy := fakeStats(t, Stats{Ledger: pool.Ledger{Submitted: 10}, Terminal: 4, Backlog: 6})
 	if _, err := busy.WaitQuiesced(5 * time.Millisecond); err == nil {
 		t.Fatal("no timeout against a never-quiescing service")
 	} else if !strings.Contains(err.Error(), "not quiesced") {
 		t.Fatalf("timeout error %q", err)
 	}
-	idle := fakeStats(t, Stats{Submitted: 10, Terminal: 10})
+	idle := fakeStats(t, Stats{Ledger: pool.Ledger{Submitted: 10}, Terminal: 10})
 	if _, err := idle.WaitQuiesced(time.Second); err != nil {
 		t.Fatalf("quiesced service: %v", err)
 	}

@@ -259,21 +259,8 @@ func (s *Server) statsLocked() Stats {
 	ps := s.p.Stats()
 	us := 1 / float64(sim.Microsecond)
 	st := Stats{
-		Submitted:     ps.Submitted,
-		Completed:     ps.Completed,
-		Failed:        ps.Failed,
-		Shed:          ps.Shed,
-		Expired:       ps.Expired,
-		Throttled:     ps.Throttled,
-		Terminal:      ps.Completed + ps.Failed + ps.Shed + ps.Expired + ps.Throttled,
-		CompletedLate: ps.CompletedLate,
-
-		WritesIn:        ps.WritesIn,
-		WritesAcked:     ps.WritesAcked,
-		WritesFailed:    ps.WritesFailed,
-		WritesShed:      ps.WritesShed,
-		WritesExpired:   ps.WritesExpired,
-		WritesThrottled: ps.WritesThrottled,
+		Ledger:   ps.Ledger,
+		Terminal: ps.Terminal(),
 
 		LatMeanUS: float64(ps.Lat.Mean()) * us,
 		LatP50US:  float64(ps.Lat.Percentile(50)) * us,

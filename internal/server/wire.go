@@ -6,7 +6,6 @@
 package server
 
 import (
-	"errors"
 	"net/http"
 
 	"nvdimmc/internal/pool"
@@ -68,35 +67,25 @@ type ChannelState struct {
 	Breaker  string `json:"breaker"`
 }
 
-// Stats is the /v1/stats body: the pool's conservation counters plus the
-// service's own accounting (poll ring occupancy, drops, drain state).
-// Terminal == Submitted with Backlog == 0 means the plane is quiesced —
-// clients use that to detect that every async submission has retired.
+// Stats is the /v1/stats body: the pool's conservation ledger (its fields
+// flatten into the body under their own JSON names) plus the service's own
+// accounting (poll ring occupancy, drops, drain state). Terminal ==
+// Submitted with Backlog == 0 means the plane is quiesced — clients use
+// that to detect that every async submission has retired.
 type Stats struct {
-	Submitted     uint64 `json:"submitted"`
-	Completed     uint64 `json:"completed"`
-	Failed        uint64 `json:"failed"`
-	Shed          uint64 `json:"shed"`
-	Expired       uint64 `json:"expired"`
-	Throttled     uint64 `json:"throttled"`
-	Terminal      uint64 `json:"terminal"`
-	CompletedLate uint64 `json:"completed_late"`
-
-	WritesIn        uint64 `json:"writes_in"`
-	WritesAcked     uint64 `json:"writes_acked"`
-	WritesFailed    uint64 `json:"writes_failed"`
-	WritesShed      uint64 `json:"writes_shed"`
-	WritesExpired   uint64 `json:"writes_expired"`
-	WritesThrottled uint64 `json:"writes_throttled"`
+	pool.Ledger
+	// Terminal is the server's Ledger.Terminal, sent so clients can check
+	// it against the counters they received.
+	Terminal uint64 `json:"terminal"`
 
 	LatMeanUS float64 `json:"lat_mean_us"`
 	LatP50US  float64 `json:"lat_p50_us"`
 	LatP99US  float64 `json:"lat_p99_us"`
 
-	Epochs   int   `json:"epochs"`
+	Epochs   int     `json:"epochs"`
 	SimUS    float64 `json:"sim_us"`
-	Backlog  int   `json:"backlog"`
-	Capacity int64 `json:"capacity"`
+	Backlog  int     `json:"backlog"`
+	Capacity int64   `json:"capacity"`
 
 	PollBuffered int    `json:"poll_buffered"`
 	PollDropped  uint64 `json:"poll_dropped"`
@@ -122,30 +111,11 @@ type errorBody struct {
 // errStatus maps a synchronous Submit refusal to its HTTP status: the
 // request never entered the plane asynchronously, but throttles and sheds
 // are still terminal outcomes in the conservation equation.
-func errStatus(err error) int {
-	switch {
-	case errors.Is(err, pool.ErrTenantThrottled):
-		return http.StatusTooManyRequests // 429
-	case errors.Is(err, pool.ErrAdmissionFull):
-		return http.StatusServiceUnavailable // 503
-	case errors.Is(err, pool.ErrDeadlineExceeded):
-		return http.StatusGatewayTimeout // 504
-	}
-	return http.StatusInternalServerError // 500
-}
+func errStatus(err error) int { return outcomeStatus(pool.OutcomeOf(err)) }
 
 // errResult is the Result line for a synchronous Submit refusal.
 func errResult(id uint64, seq int, err error) Result {
-	status := "failed"
-	switch {
-	case errors.Is(err, pool.ErrTenantThrottled):
-		status = "throttled"
-	case errors.Is(err, pool.ErrAdmissionFull):
-		status = "shed"
-	case errors.Is(err, pool.ErrDeadlineExceeded):
-		status = "expired"
-	}
-	return Result{ID: id, Seq: seq, Status: status, Error: err.Error()}
+	return Result{ID: id, Seq: seq, Status: pool.OutcomeOf(err).String(), Error: err.Error()}
 }
 
 // outcomeStatus maps a terminal Completion (a sync-wait submit's response)
